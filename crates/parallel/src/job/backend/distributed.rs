@@ -15,6 +15,19 @@
 //!   mid-batch loses no jobs;
 //! * only when *no* node survives does a job fail, with
 //!   [`RunError::Transport`] naming the outage.
+//!
+//! Submission never blocks. [`ExecutionBackend::launch`] only records the
+//! job and queues its id; one dispatcher thread takes ids in queue order
+//! (LPT order for a batch) and places each as a node slot frees, so
+//! [`Engine::submit_batch`](crate::job::Engine::submit_batch) returns at
+//! once and [`Batch::next_finished`](crate::job::Batch::next_finished)
+//! yields every result as soon as its node reports it. The waiting moves
+//! from the caller's thread to that queue: a node still never holds more
+//! than [`DistributedConfig::max_in_flight`] jobs. Requeued jobs (bounced
+//! by a full daemon, or orphaned by a dead one) go to the front of the
+//! same queue, so one path places every job. A job that cannot be placed
+//! — no node alive, cancelled while queued, coordinator shut down —
+//! resolves its handle with that error.
 
 use super::{ExecutionBackend, JobCompletion, PreparedJob};
 use crate::engine::RunReport;
@@ -25,10 +38,11 @@ use crossbeam::channel::Sender;
 use pmcmc_runtime::net::FrameConn;
 use pmcmc_runtime::wire::{FrameKind, Heartbeat, Hello, Requeue, Wire, WireError, WIRE_VERSION};
 use pmcmc_runtime::{lpt_order, Admission, ClusterTopology, WorkerPool};
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, VecDeque};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, MutexGuard, PoisonError};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
@@ -36,8 +50,9 @@ use parking_lot::Mutex;
 /// Tunables of the distributed coordinator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DistributedConfig {
-    /// Jobs admitted per node before placement blocks (eq. (4)'s bounded
-    /// per-node queue; matches the daemons' capacity by default).
+    /// Jobs a node holds at once; further jobs wait in the coordinator's
+    /// queue (eq. (4)'s bounded per-node queue; matches the daemons'
+    /// capacity by default).
     pub max_in_flight: usize,
     /// How long a node may go without a heartbeat before the coordinator
     /// declares it dead and requeues its jobs.
@@ -95,11 +110,11 @@ struct NodeLink {
     last_heartbeat: Mutex<Instant>,
     /// Worker threads the daemon advertised in its `Hello`.
     workers: usize,
-    /// Jobs currently assigned to this node. Removing a job from this
-    /// set is the atomic claim on its admission slot: exactly one of the
-    /// completion path and the death path wins, so a slot is never
-    /// released twice.
-    in_flight: Mutex<HashSet<u64>>,
+    /// Jobs currently assigned to this node, with the weight each
+    /// committed. Removing a job from this map is the atomic claim on its
+    /// admission slot: exactly one of the completion, bounce, death and
+    /// failed-send paths wins, so a slot is never released twice.
+    in_flight: Mutex<HashMap<u64, f64>>,
 }
 
 struct Shared {
@@ -107,8 +122,97 @@ struct Shared {
     /// Committed placement weight per node, for least-committed ordering.
     committed: Mutex<Vec<f64>>,
     pending: Mutex<HashMap<u64, Pending>>,
+    /// Ids awaiting placement. Closing it is the coordinator's shutdown
+    /// signal to the dispatcher and the monitor.
+    queue: DispatchQueue,
     cfg: DistributedConfig,
-    shutting_down: AtomicBool,
+}
+
+/// The FIFO of job ids the dispatcher places, plus the wake-up it parks
+/// on while every alive node is saturated. Built on `std::sync` (the
+/// `parking_lot` stub has no condvar); every update leaves the state
+/// valid, so a poisoned lock is recovered rather than propagated.
+#[derive(Default)]
+struct DispatchQueue {
+    state: std::sync::Mutex<QueueState>,
+    changed: Condvar,
+}
+
+#[derive(Default)]
+struct QueueState {
+    ids: VecDeque<u64>,
+    closed: bool,
+    /// Bumped whenever a node slot frees or a node dies, so a parked
+    /// dispatcher knows to re-scan the nodes.
+    epoch: u64,
+}
+
+impl DispatchQueue {
+    fn lock(&self) -> MutexGuard<'_, QueueState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn push_back(&self, job: u64) {
+        self.lock().ids.push_back(job);
+        self.changed.notify_all();
+    }
+
+    /// Puts requeued jobs ahead of everything not yet placed.
+    fn push_front(&self, jobs: &[u64]) {
+        let mut state = self.lock();
+        for &job in jobs.iter().rev() {
+            state.ids.push_front(job);
+        }
+        drop(state);
+        self.changed.notify_all();
+    }
+
+    /// Blocks for the next queued id; `None` once the queue is closed.
+    fn pop(&self) -> Option<u64> {
+        let mut state = self.lock();
+        loop {
+            if state.closed {
+                return None;
+            }
+            if let Some(job) = state.ids.pop_front() {
+                return Some(job);
+            }
+            state = self
+                .changed
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// The current epoch, or `None` once the queue is closed.
+    fn epoch(&self) -> Option<u64> {
+        let state = self.lock();
+        (!state.closed).then_some(state.epoch)
+    }
+
+    /// Parks until the epoch moves past `seen`, the queue closes, or
+    /// `timeout` passes.
+    fn wait_past(&self, seen: u64, timeout: Duration) {
+        let state = self.lock();
+        let _ = self
+            .changed
+            .wait_timeout_while(state, timeout, |s| s.epoch == seen && !s.closed);
+    }
+
+    /// Signals that a slot freed or a node died.
+    fn wake(&self) {
+        self.lock().epoch += 1;
+        self.changed.notify_all();
+    }
+
+    fn close(&self) {
+        self.lock().closed = true;
+        self.changed.notify_all();
+    }
+
+    fn is_closed(&self) -> bool {
+        self.lock().closed
+    }
 }
 
 /// [`ExecutionBackend`] that coordinates remote node daemons over TCP.
@@ -122,8 +226,8 @@ struct Shared {
 pub struct DistributedBackend {
     shared: Arc<Shared>,
     local_pool: Arc<WorkerPool>,
-    readers: Mutex<Vec<std::thread::JoinHandle<()>>>,
-    monitor: Mutex<Option<std::thread::JoinHandle<()>>>,
+    /// The per-node readers, the dispatcher and the heartbeat monitor.
+    threads: Vec<JoinHandle<()>>,
 }
 
 impl DistributedBackend {
@@ -166,37 +270,41 @@ impl DistributedBackend {
             nodes,
             committed,
             pending: Mutex::new(HashMap::new()),
+            queue: DispatchQueue::default(),
             cfg,
-            shutting_down: AtomicBool::new(false),
         });
 
-        let mut readers = Vec::with_capacity(shared.nodes.len());
+        let mut threads = Vec::with_capacity(shared.nodes.len() + 2);
         for node in &shared.nodes {
             let shared = Arc::clone(&shared);
             let node = Arc::clone(node);
             let mut reader = node.control.try_clone().map_err(|e| {
                 RunError::Transport(format!("node {}: clone for reader failed: {e}", node.index))
             })?;
-            readers.push(
+            threads.push(
                 std::thread::Builder::new()
                     .name(format!("pmcmc-dist-reader{}", node.index))
                     .spawn(move || reader_loop(&shared, &node, &mut reader))
                     .map_err(|e| RunError::Transport(format!("reader spawn failed: {e}")))?,
             );
         }
-        let monitor = {
+        for (name, body) in [
+            ("pmcmc-dist-dispatch", dispatcher_loop as fn(&Arc<Shared>)),
+            ("pmcmc-dist-monitor", monitor_loop),
+        ] {
             let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("pmcmc-dist-monitor".to_owned())
-                .spawn(move || monitor_loop(&shared))
-                .map_err(|e| RunError::Transport(format!("monitor spawn failed: {e}")))?
-        };
+            threads.push(
+                std::thread::Builder::new()
+                    .name(name.to_owned())
+                    .spawn(move || body(&shared))
+                    .map_err(|e| RunError::Transport(format!("{name} spawn failed: {e}")))?,
+            );
+        }
 
         Ok(Self {
             shared,
             local_pool: WorkerPool::shared(1),
-            readers: Mutex::new(readers),
-            monitor: Mutex::new(Some(monitor)),
+            threads,
         })
     }
 
@@ -261,7 +369,7 @@ fn handshake(
         alive: AtomicBool::new(true),
         last_heartbeat: Mutex::new(Instant::now()),
         workers: (hello.workers.max(1)) as usize,
-        in_flight: Mutex::new(HashSet::new()),
+        in_flight: Mutex::new(HashMap::new()),
     })
 }
 
@@ -306,7 +414,7 @@ fn reader_loop(shared: &Arc<Shared>, node: &Arc<NodeLink>, reader: &mut FrameCon
 /// [`retire`] path.
 fn monitor_loop(shared: &Arc<Shared>) {
     let tick = Duration::from_millis(50);
-    while !shared.shutting_down.load(Ordering::Acquire) {
+    while !shared.queue.is_closed() {
         for node in &shared.nodes {
             if !node.alive.load(Ordering::Acquire) {
                 continue;
@@ -321,24 +429,38 @@ fn monitor_loop(shared: &Arc<Shared>) {
     }
 }
 
-/// A daemon refused an assignment (at capacity); put the job back on the
-/// market. The daemon never started it, so there is no duplicate risk.
-fn bounce(shared: &Arc<Shared>, node: &Arc<NodeLink>, job: u64, reason: &str) {
-    if !node.in_flight.lock().remove(&job) {
-        return;
+/// The one placement path, new and requeued jobs alike: takes queued ids
+/// in order and places each, resolving the handle of any job that cannot
+/// be placed with the reason.
+fn dispatcher_loop(shared: &Arc<Shared>) {
+    while let Some(job) = shared.queue.pop() {
+        if let Err(e) = dispatch(shared, job) {
+            let claimed = shared.pending.lock().remove(&job);
+            if let Some(p) = claimed {
+                p.completion.resolve(Err(e));
+            }
+        }
     }
-    release_slot(shared, node, job);
+}
+
+/// A daemon refused an assignment (at capacity); put the job back at the
+/// front of the queue. The daemon never started it, so there is no
+/// duplicate risk.
+fn bounce(shared: &Arc<Shared>, node: &Arc<NodeLink>, job: u64, reason: &str) {
+    let Some(weight) = node.in_flight.lock().remove(&job) else {
+        return;
+    };
+    release_slot(shared, node, weight);
     if let Some(p) = shared.pending.lock().get_mut(&job) {
         p.notes
             .push(format!("node-{} declined: {reason}; requeued", node.index));
     }
-    respawn_dispatch(shared, vec![job]);
+    shared.queue.push_front(&[job]);
 }
 
 /// Declares a node dead (idempotently), frees its admission slots and
 /// requeues its in-flight jobs onto the survivors — or fails them with
-/// [`RunError::Transport`] when the coordinator is shutting down or no
-/// node survives.
+/// [`RunError::Transport`] when the coordinator is shutting down.
 fn retire(shared: &Arc<Shared>, node: &Arc<NodeLink>, why: &str) {
     if node
         .alive
@@ -348,18 +470,15 @@ fn retire(shared: &Arc<Shared>, node: &Arc<NodeLink>, why: &str) {
         return;
     }
     let _ = node.control.shutdown();
-    let orphans: Vec<u64> = node.in_flight.lock().drain().collect();
-    for &job in &orphans {
-        release_slot(shared, node, job);
+    let orphans: Vec<(u64, f64)> = node.in_flight.lock().drain().collect();
+    for &(_, weight) in &orphans {
+        release_slot(shared, node, weight);
     }
-    if orphans.is_empty() {
-        return;
-    }
-    let shutting_down = shared.shutting_down.load(Ordering::Acquire);
+    let shutting_down = shared.queue.is_closed();
     let mut requeued = Vec::new();
     {
         let mut pending = shared.pending.lock();
-        for job in orphans {
+        for (job, _) in orphans {
             if shutting_down {
                 if let Some(p) = pending.remove(&job) {
                     p.completion.resolve(Err(RunError::Transport(format!(
@@ -376,56 +495,21 @@ fn retire(shared: &Arc<Shared>, node: &Arc<NodeLink>, why: &str) {
             }
         }
     }
-    respawn_dispatch(shared, requeued);
+    shared.queue.push_front(&requeued);
 }
 
-/// Re-dispatches requeued jobs off the reader/monitor thread (dispatch
-/// can block on admission, and the reader must keep consuming frames).
-fn respawn_dispatch(shared: &Arc<Shared>, jobs: Vec<u64>) {
-    if jobs.is_empty() {
-        return;
-    }
-    let bg_shared = Arc::clone(shared);
-    let bg_jobs = jobs.clone();
-    let spawned = std::thread::Builder::new()
-        .name("pmcmc-dist-requeue".to_owned())
-        .spawn(move || {
-            for job in bg_jobs {
-                if let Err(e) = dispatch(&bg_shared, job) {
-                    if let Some(p) = bg_shared.pending.lock().remove(&job) {
-                        p.completion.resolve(Err(e));
-                    }
-                }
-            }
-        });
-    // Spawn failure: fail the requeued jobs rather than leak their
-    // handles unresolved.
-    if spawned.is_err() {
-        for job in jobs {
-            if let Some(p) = shared.pending.lock().remove(&job) {
-                p.completion.resolve(Err(RunError::Transport(
-                    "could not spawn a requeue dispatcher".to_owned(),
-                )));
-            }
-        }
-    }
-}
-
-/// Frees the admission slot and committed weight `job` held on `node`.
-/// Callers must have already removed `job` from the node's in-flight set
-/// (the removal is the claim that makes this safe to call once).
-fn release_slot(shared: &Arc<Shared>, node: &Arc<NodeLink>, job: u64) {
-    let weight = shared
-        .pending
-        .lock()
-        .get(&job)
-        .map(|p| p.weight)
-        .unwrap_or(0.0);
+/// Frees the admission slot and the committed `weight` a job held on
+/// `node`, and wakes the dispatcher. Callers must own the slot: either
+/// they removed the job from the node's in-flight map (the claim that
+/// makes this safe to call once), or they acquired it and never
+/// published it there.
+fn release_slot(shared: &Shared, node: &NodeLink, weight: f64) {
     {
         let mut committed = shared.committed.lock();
         committed[node.index] = (committed[node.index] - weight).max(0.0);
     }
     node.admission.release();
+    shared.queue.wake();
 }
 
 /// Terminal path for a `Result` frame: frees the node's slot and
@@ -437,8 +521,9 @@ fn complete(
     job: u64,
     outcome: Result<WireReport, RunError>,
 ) {
-    if node.in_flight.lock().remove(&job) {
-        release_slot(shared, node, job);
+    let claimed = node.in_flight.lock().remove(&job);
+    if let Some(weight) = claimed {
+        release_slot(shared, node, weight);
     }
     let Some(p) = shared.pending.lock().remove(&job) else {
         return;
@@ -452,75 +537,72 @@ fn complete(
 }
 
 /// Places and ships one pending job: least-committed-first over the
-/// alive nodes, blocking (in bounded slices, so liveness changes are
-/// observed) when every survivor is saturated.
+/// alive nodes, waiting while every survivor is saturated.
 ///
 /// # Errors
-/// [`RunError::Transport`] when no node is left alive, and
-/// [`RunError::Cancelled`] when the job's token fired before placement.
+/// [`RunError::Transport`] when no node is left alive or the coordinator
+/// shuts down first, and [`RunError::Cancelled`] when the job's token
+/// fired before placement.
 fn dispatch(shared: &Arc<Shared>, job: u64) -> Result<(), RunError> {
     loop {
-        let (cancelled, payload) = {
-            let mut pending = shared.pending.lock();
-            let Some(p) = pending.get_mut(&job) else {
-                // Resolved concurrently (e.g. duplicate execution after a
-                // requeue race finished first): nothing to do.
-                return Ok(());
-            };
-            if p.cancel.is_cancelled() {
-                (true, Vec::new())
-            } else {
-                let elapsed = p.submitted_at.elapsed();
-                p.blueprint.queued_so_far = elapsed;
-                p.blueprint.remaining_deadline = p.deadline.map(|d| d.saturating_sub(elapsed));
-                (
-                    false,
-                    Assign {
-                        job,
-                        blueprint: p.blueprint.clone(),
-                    }
-                    .to_wire_bytes(),
-                )
-            }
+        let Some((weight, cancel)) = shared
+            .pending
+            .lock()
+            .get(&job)
+            .map(|p| (p.weight, p.cancel.clone()))
+        else {
+            // Resolved concurrently (e.g. duplicate execution after a
+            // requeue race finished first): nothing to do.
+            return Ok(());
         };
-        if cancelled {
-            if let Some(p) = shared.pending.lock().remove(&job) {
-                p.completion.resolve(Err(RunError::Cancelled {
-                    completed_iterations: 0,
-                }));
+        let node = place(shared, weight, &cancel)?;
+        let payload = shared.pending.lock().get_mut(&job).map(|p| {
+            let elapsed = p.submitted_at.elapsed();
+            p.blueprint.queued_so_far = elapsed;
+            p.blueprint.remaining_deadline = p.deadline.map(|d| d.saturating_sub(elapsed));
+            Assign {
+                job,
+                blueprint: p.blueprint.clone(),
             }
+            .to_wire_bytes()
+        });
+        let Some(payload) = payload else {
+            // Resolved while it waited for the slot: hand the slot back.
+            release_slot(shared, &node, weight);
+            return Ok(());
+        };
+
+        node.in_flight.lock().insert(job, weight);
+        let sent = node.writer.lock().send(FrameKind::Assign, &payload).is_ok();
+        if sent && node.alive.load(Ordering::Acquire) {
             return Ok(());
         }
-
-        let node = place(shared, job)?;
-        node.in_flight.lock().insert(job);
-        let sent = node.writer.lock().send(FrameKind::Assign, &payload);
-        match sent {
-            Ok(()) => return Ok(()),
-            Err(_) => {
-                // The node died under us; undo the claim and let the
-                // retire path (driven by the reader) clean the rest up,
-                // then try the next survivor.
-                if node.in_flight.lock().remove(&job) {
-                    release_slot(shared, &node, job);
-                }
-                retire(shared, &node, "send failed");
-            }
-        }
+        // The node died under us. Whoever removes the in-flight entry
+        // owns the job: if `retire` got there first it has requeued it.
+        let Some(weight) = node.in_flight.lock().remove(&job) else {
+            return Ok(());
+        };
+        release_slot(shared, &node, weight);
+        retire(shared, &node, "send failed");
     }
 }
 
 /// Acquires an admission slot on the least-committed alive node,
-/// committing the job's weight. Blocks in 100 ms slices so node deaths
-/// wake the placement loop.
-fn place(shared: &Arc<Shared>, job: u64) -> Result<Arc<NodeLink>, RunError> {
-    let weight = shared
-        .pending
-        .lock()
-        .get(&job)
-        .map(|p| p.weight)
-        .unwrap_or(0.0);
+/// committing `weight` to it. While every survivor is saturated it parks
+/// until a slot frees or a node dies, re-checking at least every 100 ms
+/// so a cancellation is seen.
+fn place(shared: &Shared, weight: f64, cancel: &CancelToken) -> Result<Arc<NodeLink>, RunError> {
     loop {
+        if cancel.is_cancelled() {
+            return Err(RunError::Cancelled {
+                completed_iterations: 0,
+            });
+        }
+        let Some(seen) = shared.queue.epoch() else {
+            return Err(RunError::Transport(
+                "coordinator shut down before the job was placed".to_owned(),
+            ));
+        };
         let mut order: Vec<usize> = shared
             .nodes
             .iter()
@@ -548,17 +630,7 @@ fn place(shared: &Arc<Shared>, job: u64) -> Result<Arc<NodeLink>, RunError> {
                 return Ok(Arc::clone(node));
             }
         }
-        // Every survivor is saturated: wait (bounded) on the least
-        // committed, then re-check liveness — the node may have died
-        // while we were parked.
-        let first = &shared.nodes[order[0]];
-        if first.admission.acquire_timeout(Duration::from_millis(100)) {
-            if first.alive.load(Ordering::Acquire) {
-                shared.committed.lock()[order[0]] += weight;
-                return Ok(Arc::clone(first));
-            }
-            first.admission.release();
-        }
+        shared.queue.wait_past(seen, Duration::from_millis(100));
     }
 }
 
@@ -626,15 +698,8 @@ impl ExecutionBackend for DistributedBackend {
             },
         };
         self.shared.pending.lock().insert(id, pending);
-        match dispatch(&self.shared, id) {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                // Not resolved: surface the failure to the submitter via
-                // the engine (the handle was never returned).
-                self.shared.pending.lock().remove(&id);
-                Err(e)
-            }
-        }
+        self.shared.queue.push_back(id);
+        Ok(())
     }
 
     fn batch_order(&self, weights: &[f64]) -> Vec<usize> {
@@ -644,21 +709,18 @@ impl ExecutionBackend for DistributedBackend {
 
 impl Drop for DistributedBackend {
     fn drop(&mut self) {
-        self.shared.shutting_down.store(true, Ordering::Release);
+        self.shared.queue.close();
         for node in &self.shared.nodes {
             if node.alive.load(Ordering::Acquire) {
                 let _ = node.writer.lock().send(FrameKind::Shutdown, &[]);
             }
             let _ = node.control.shutdown();
         }
-        for reader in self.readers.lock().drain(..) {
-            let _ = reader.join();
+        for thread in self.threads.drain(..) {
+            let _ = thread.join();
         }
-        if let Some(monitor) = self.monitor.lock().take() {
-            let _ = monitor.join();
-        }
-        // Anything still pending (jobs the daemons never answered) must
-        // not leave a handle waiting forever.
+        // Anything still pending (jobs still queued, or the daemons never
+        // answered) must not leave a handle waiting forever.
         let leftovers: Vec<Pending> = {
             let mut pending = self.shared.pending.lock();
             pending.drain().map(|(_, p)| p).collect()

@@ -3,7 +3,7 @@
 //! The [`Engine`](crate::job::Engine) validates specs, mints ids and wires
 //! up handles; everything after that — which thread drives the job, which
 //! [`WorkerPool`] its parallel stages fan onto, whether submission
-//! throttles — is the [`ExecutionBackend`]'s decision. Two backends ship:
+//! throttles — is the [`ExecutionBackend`]'s decision. Three backends ship:
 //!
 //! * [`LocalBackend`] — one shared pool, one detached driver thread per
 //!   job; submission never blocks (the historical engine behaviour).
@@ -13,7 +13,8 @@
 //! * [`DistributedBackend`] — the real thing: eq. (4)'s `s` nodes as
 //!   remote [`NodeDaemon`](crate::job::daemon::NodeDaemon) processes
 //!   reached over TCP, with heartbeat failure detection and
-//!   failure-aware rescheduling.
+//!   failure-aware rescheduling; submission queues on the coordinator
+//!   and never blocks, while each node's in-flight bound still holds.
 
 mod distributed;
 mod local;

@@ -181,6 +181,7 @@ impl NodeDaemon {
                                     continue;
                                 }
                                 in_flight.fetch_add(1, Ordering::AcqRel);
+                                reap_finished(&mut runners);
                                 let job_id = assign.job;
                                 let pool = Arc::clone(&self.pool);
                                 let job_writer = Arc::clone(&writer);
@@ -194,8 +195,13 @@ impl NodeDaemon {
                                             outcome: result,
                                         }
                                         .to_wire_bytes();
-                                        let _ = job_writer.lock().send(FrameKind::Result, &payload);
+                                        // Free the slot before the result
+                                        // leaves: the coordinator may ship
+                                        // the next job the moment it reads
+                                        // this one, and that job must not
+                                        // find the daemon still full.
                                         job_in_flight.fetch_sub(1, Ordering::AcqRel);
+                                        let _ = job_writer.lock().send(FrameKind::Result, &payload);
                                     });
                                 match runner {
                                     Ok(handle) => runners.push(handle),
@@ -258,6 +264,19 @@ impl NodeDaemon {
             if self.serve_one()? == SessionEnd::Shutdown {
                 return Ok(());
             }
+        }
+    }
+}
+
+/// Joins the runners whose jobs have ended, so a long session holds one
+/// thread (and its stack) per job still running, not per job it ran.
+fn reap_finished(runners: &mut Vec<std::thread::JoinHandle<()>>) {
+    let mut i = 0;
+    while i < runners.len() {
+        if runners[i].is_finished() {
+            let _ = runners.swap_remove(i).join();
+        } else {
+            i += 1;
         }
     }
 }

@@ -19,7 +19,9 @@ use std::sync::Arc;
 /// detached driver thread per job, submission never blocks. A
 /// [`ShardedBackend`] instead simulates the eq. (4) `s × t` cluster:
 /// per-node pools, bounded admission (submission *does* throttle there),
-/// LPT placement.
+/// LPT placement. A [`DistributedBackend`] bounds each remote node the
+/// same way, but queues jobs on the coordinator, so submission to it
+/// never blocks.
 pub struct Engine {
     backend: Arc<dyn ExecutionBackend>,
     next_id: AtomicU64,
@@ -85,9 +87,13 @@ impl Engine {
     }
 
     /// Validates and submits one job; returns with a handle as soon as
-    /// the backend accepts the job. The local backend accepts instantly.
-    /// The sharded backend *blocks for admission* when every node is
-    /// saturated — bounded in-flight is its contract — and that block
+    /// the backend accepts the job. The local and distributed backends
+    /// accept instantly: the distributed one queues the job on the
+    /// coordinator until a node slot frees, so no node holds more than
+    /// its in-flight bound, and a job that cannot be placed (no node
+    /// alive, cancelled while queued) resolves its handle with that
+    /// error. The sharded backend *blocks for admission* when every node
+    /// is saturated — bounded in-flight is its contract — and that block
     /// lasts until a node slot frees (an in-flight job finishes or is
     /// cancelled from another thread). The submitter has no handle yet
     /// during the wait, so a throttled submission cannot be timed out or
@@ -107,7 +113,10 @@ impl Engine {
     /// per-job reports stream through [`Batch::next_finished`] as they
     /// complete. The backend chooses the launch order
     /// ([`ExecutionBackend::batch_order`] — LPT for clusters), while
-    /// results keep their submission indices.
+    /// results keep their submission indices. On the distributed backend
+    /// the call returns once every job is queued, before most are placed,
+    /// so results stream while later jobs still wait for a node slot; on
+    /// the sharded backend it returns only once the last job is admitted.
     ///
     /// # Errors
     /// [`RunError::InvalidSpec`] when any spec fails validation (no job

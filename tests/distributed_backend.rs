@@ -118,3 +118,114 @@ fn distributed_reports_stamp_remote_node_timings() {
     assert_eq!(report.node_timings[0].node.index(), 0);
     assert!(report.node_timings[0].busy <= report.total_time + report.node_timings[0].busy);
 }
+
+/// A one-node cluster that holds one job at a time: daemon capacity and
+/// coordinator in-flight bound both 1.
+fn one_slot_cluster() -> (InProcessDaemon, Engine) {
+    let daemon = InProcessDaemon::spawn(1, 1).expect("loopback daemon");
+    let backend = DistributedBackend::connect_with(
+        &[daemon.addr()],
+        DistributedConfig {
+            max_in_flight: 1,
+            ..DistributedConfig::default()
+        },
+    )
+    .expect("1-node distributed cluster");
+    (daemon, Engine::with_backend(backend))
+}
+
+fn batch_specs(jobs: usize, iterations: u64) -> Vec<JobSpec> {
+    let (img, params) = workload(96, 5, 21);
+    (0..jobs)
+        .map(|i| {
+            JobSpec::new(StrategySpec::Sequential, img.clone(), params.clone())
+                .seed(i as u64)
+                .iterations(iterations)
+        })
+        .collect()
+}
+
+/// Drains `batch` on a helper thread, failing the test if it has not
+/// drained within `secs`.
+fn drain_within(batch: Batch, secs: u64) -> Vec<Result<RunReport, RunError>> {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let drainer = std::thread::spawn(move || {
+        let _ = tx.send(batch.wait_all());
+    });
+    let results = rx
+        .recv_timeout(std::time::Duration::from_secs(secs))
+        .unwrap_or_else(|_| panic!("batch did not drain within {secs} s"));
+    drainer.join().expect("drainer thread");
+    results
+}
+
+#[test]
+fn distributed_batch_returns_before_its_jobs_are_placed() {
+    let (_daemon, engine) = one_slot_cluster();
+    let batch = engine
+        .submit_batch(batch_specs(4, 20_000))
+        .expect("batch admitted");
+    // One slot runs the four jobs one after another. Waiting in the call
+    // for the last placement would mean the first three had finished.
+    let finished = batch.handles().iter().filter(|h| h.is_finished()).count();
+    assert!(
+        finished < 3,
+        "{finished} of 4 jobs finished before submit_batch returned"
+    );
+    for (i, result) in drain_within(batch, 60).into_iter().enumerate() {
+        let report = result.unwrap_or_else(|e| panic!("job {i} failed: {e}"));
+        assert_eq!(report.iterations, 20_000);
+        assert!(
+            !report
+                .diagnostics
+                .notes
+                .iter()
+                .any(|n| n.contains("declined")),
+            "job {i} was bounced by a full daemon: {:?}",
+            report.diagnostics.notes
+        );
+    }
+}
+
+#[test]
+fn cancelling_a_distributed_batch_resolves_its_queued_jobs() {
+    let (_daemon, engine) = one_slot_cluster();
+    let batch = engine
+        .submit_batch(batch_specs(4, 200_000))
+        .expect("batch admitted");
+    batch.cancel_all();
+    // At most the job already on the daemon runs (remote runs are not
+    // interrupted); every job still queued resolves without a run.
+    let results = drain_within(batch, 60);
+    let mut cancelled = 0;
+    for (i, result) in results.iter().enumerate() {
+        match result {
+            Ok(_) => {}
+            Err(RunError::Cancelled {
+                completed_iterations: 0,
+            }) => cancelled += 1,
+            Err(e) => panic!("job {i}: expected a report or a queued cancel, got {e}"),
+        }
+    }
+    assert!(
+        cancelled >= 3,
+        "only {cancelled} of 4 queued jobs cancelled"
+    );
+}
+
+#[test]
+fn dropping_a_distributed_engine_fails_its_queued_jobs() {
+    let (daemon, engine) = one_slot_cluster();
+    let batch = engine
+        .submit_batch(batch_specs(4, 200_000))
+        .expect("batch admitted");
+    drop(engine);
+    for (i, result) in drain_within(batch, 60).into_iter().enumerate() {
+        assert!(
+            matches!(result, Err(RunError::Transport(_))),
+            "job {i}: expected a transport failure on shutdown, got {:?}",
+            result.map(|r| r.iterations)
+        );
+    }
+    daemon.join();
+}
