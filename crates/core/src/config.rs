@@ -7,7 +7,7 @@
 //! needed by the Metropolis–Hastings ratio and enough information to build
 //! the exact inverse edit when a proposal is rejected.
 
-use crate::coverage::CoverageGrid;
+use crate::coverage::{disk_row_span, disk_rows, CoverageGrid};
 use crate::model::NucleiModel;
 use crate::spatial::SpatialGrid;
 use pmcmc_imaging::{Circle, Rect};
@@ -404,9 +404,10 @@ impl Configuration {
     }
 
     /// Allocation-free row-span evaluation of the likelihood delta for
-    /// edits touching at most [`SPAN_DISKS`] disks. For each image row the
-    /// affected disks' pixel spans are computed with the exact arithmetic
-    /// of [`crate::coverage::for_each_disk_row`], merged, and resolved
+    /// edits touching at most [`SPAN_DISKS`] disks. For each row some disk
+    /// touches ([`merge_row_ranges`]) the affected disks' pixel spans are
+    /// computed with the exact arithmetic of
+    /// [`crate::coverage::for_each_disk_row`], merged, and resolved
     /// run-by-run: a run owned by a single disk consults the coverage
     /// grid's occupancy/multi bitsets, and in the overlap-free case its
     /// whole gain sum is one [`crate::likelihood::Gain::row_prefix`]
@@ -430,158 +431,150 @@ impl Configuration {
             return 0.0;
         }
         let disks = &disks[..nd];
-        let mut y0 = i64::MAX;
-        let mut y1 = i64::MIN;
-        for (c, _) in disks {
-            y0 = y0.min(((c.y - c.r - 0.5).ceil() as i64).max(frame.y0));
-            y1 = y1.max(((c.y + c.r - 0.5).floor() as i64).min(frame.y1 - 1));
+        let mut rows = [(0i64, 0i64); SPAN_DISKS];
+        for (r, (c, _)) in rows.iter_mut().zip(disks) {
+            *r = disk_rows(c, &frame);
         }
+        let nr = merge_row_ranges(&mut rows[..nd]);
         let mut delta = 0.0;
         let mut pixels = 0u64;
         let mut fast_hits = 0u64;
         let mut skipped = 0u64;
-        for py in y0..=y1 {
-            // Per-disk spans [x0, x1] on this row (empty spans skipped).
-            let mut spans = [(0i64, 0i64, false); SPAN_DISKS];
-            let mut ns = 0;
-            for &(c, is_add) in disks {
-                let dy = py as f64 + 0.5 - c.y;
-                let h2 = c.r * c.r - dy * dy;
-                if h2 < 0.0 {
+        for &(y0, y1) in &rows[..nr] {
+            for py in y0..=y1 {
+                // Per-disk spans [x0, x1] on this row (empty spans skipped).
+                let mut spans = [(0i64, 0i64, false); SPAN_DISKS];
+                let mut ns = 0;
+                for &(c, is_add) in disks {
+                    if let Some((x0, x1)) = disk_row_span(&c, py, &frame) {
+                        spans[ns] = (x0, x1, is_add);
+                        ns += 1;
+                    }
+                }
+                if ns == 0 {
                     continue;
                 }
-                let h = h2.sqrt();
-                let x0 = ((c.x - h - 0.5).ceil() as i64).max(frame.x0);
-                let x1 = ((c.x + h - 0.5).floor() as i64).min(frame.x1 - 1);
-                if x0 > x1 {
-                    continue;
+                // Insertion-sort by x0 (ns <= 4).
+                for i in 1..ns {
+                    let mut j = i;
+                    while j > 0 && spans[j - 1].0 > spans[j].0 {
+                        spans.swap(j - 1, j);
+                        j -= 1;
+                    }
                 }
-                spans[ns] = (x0, x1, is_add);
-                ns += 1;
-            }
-            if ns == 0 {
-                continue;
-            }
-            // Insertion-sort by x0 (ns <= 4).
-            for i in 1..ns {
-                let mut j = i;
-                while j > 0 && spans[j - 1].0 > spans[j].0 {
-                    spans.swap(j - 1, j);
-                    j -= 1;
-                }
-            }
-            let cov_row = self.coverage.row(py);
-            let gain_row = model.gain.row(py as u32);
-            let spans = &spans[..ns];
-            // Segment [lo, hi] where exactly one disk's span changes: the
-            // bitsets decide the whole segment at once, and in the
-            // overlap-free case its gain sum is one prefix subtraction.
-            // Accumulators are passed in so the multi-span branch below
-            // can keep using them directly.
-            let eval_single = |lo: i64,
-                               hi: i64,
-                               is_add: bool,
-                               delta: &mut f64,
-                               pixels: &mut u64,
-                               fast_hits: &mut u64,
-                               skipped: &mut u64| {
-                let len = (hi - lo + 1) as u64;
-                if is_add {
-                    if self.coverage.span_uncovered(py, lo, hi) {
-                        // Every pixel crosses 0→1: one prefix subtraction.
+                let cov_row = self.coverage.row(py);
+                let gain_row = model.gain.row(py as u32);
+                let spans = &spans[..ns];
+                // Segment [lo, hi] where exactly one disk's span changes: the
+                // bitsets decide the whole segment at once, and in the
+                // overlap-free case its gain sum is one prefix subtraction.
+                // Accumulators are passed in so the multi-span branch below
+                // can keep using them directly.
+                let eval_single = |lo: i64,
+                                   hi: i64,
+                                   is_add: bool,
+                                   delta: &mut f64,
+                                   pixels: &mut u64,
+                                   fast_hits: &mut u64,
+                                   skipped: &mut u64| {
+                    let len = (hi - lo + 1) as u64;
+                    if is_add {
+                        if self.coverage.span_uncovered(py, lo, hi) {
+                            // Every pixel crosses 0→1: one prefix subtraction.
+                            let pre = model.gain.row_prefix(py as u32);
+                            *delta += pre[(hi + 1) as usize] - pre[lo as usize];
+                            *fast_hits += 1;
+                            *skipped += len;
+                        } else {
+                            // Mixed coverage: the still-uncovered pixels are
+                            // exactly the clear occupancy bits, so the delta
+                            // is a bitset walk — no count is read.
+                            *delta += self.coverage.sum_gains_uncovered(py, lo, hi, gain_row);
+                            *pixels += len;
+                        }
+                    } else if self.coverage.span_singly_covered(py, lo, hi) {
+                        // The removed disk covers its own span (count ≥ 1)
+                        // and nothing else does: every pixel crosses 1→0.
                         let pre = model.gain.row_prefix(py as u32);
-                        *delta += pre[(hi + 1) as usize] - pre[lo as usize];
+                        *delta -= pre[(hi + 1) as usize] - pre[lo as usize];
                         *fast_hits += 1;
                         *skipped += len;
                     } else {
-                        // Mixed coverage: the still-uncovered pixels are
-                        // exactly the clear occupancy bits, so the delta
-                        // is a bitset walk — no count is read.
-                        *delta += self.coverage.sum_gains_uncovered(py, lo, hi, gain_row);
+                        // Mixed coverage: `occ & !multi` marks the pixels only
+                        // this disk covers — their gains leave the sum.
+                        *delta -= self.coverage.sum_gains_singly_covered(py, lo, hi, gain_row);
                         *pixels += len;
                     }
-                } else if self.coverage.span_singly_covered(py, lo, hi) {
-                    // The removed disk covers its own span (count ≥ 1)
-                    // and nothing else does: every pixel crosses 1→0.
-                    let pre = model.gain.row_prefix(py as u32);
-                    *delta -= pre[(hi + 1) as usize] - pre[lo as usize];
-                    *fast_hits += 1;
-                    *skipped += len;
-                } else {
-                    // Mixed coverage: `occ & !multi` marks the pixels only
-                    // this disk covers — their gains leave the sum.
-                    *delta -= self.coverage.sum_gains_singly_covered(py, lo, hi, gain_row);
-                    *pixels += len;
-                }
-            };
-            let mut i = 0;
-            while i < ns {
-                // Grow one merged (contiguous) union run.
-                let lo = spans[i].0;
-                let mut hi = spans[i].1;
-                let mut j = i + 1;
-                while j < ns && spans[j].0 <= hi + 1 {
-                    hi = hi.max(spans[j].1);
-                    j += 1;
-                }
-                if j == i + 1 {
-                    eval_single(
-                        lo,
-                        hi,
-                        spans[i].2,
-                        &mut delta,
-                        &mut pixels,
-                        &mut fast_hits,
-                        &mut skipped,
-                    );
-                } else if j == i + 2 && spans[i].2 != spans[i + 1].2 {
-                    // One removed and one added span (the move shape):
-                    // inside their intersection −1 and +1 cancel, so the
-                    // count — and hence the likelihood — cannot change
-                    // there. Only the symmetric difference needs work,
-                    // and each sliver is a single-disk segment.
-                    let (a0, a1, ka) = spans[i];
-                    let (b0, b1, kb) = spans[i + 1];
-                    let cut = a1.min(b1);
-                    if a0 < b0 {
-                        eval_single(
-                            a0,
-                            b0 - 1,
-                            ka,
-                            &mut delta,
-                            &mut pixels,
-                            &mut fast_hits,
-                            &mut skipped,
-                        );
+                };
+                let mut i = 0;
+                while i < ns {
+                    // Grow one merged (contiguous) union run.
+                    let lo = spans[i].0;
+                    let mut hi = spans[i].1;
+                    let mut j = i + 1;
+                    while j < ns && spans[j].0 <= hi + 1 {
+                        hi = hi.max(spans[j].1);
+                        j += 1;
                     }
-                    if cut >= b0 {
-                        skipped += (cut - b0 + 1) as u64;
-                    }
-                    if cut < hi {
+                    if j == i + 1 {
                         eval_single(
-                            cut + 1,
+                            lo,
                             hi,
-                            if a1 > b1 { ka } else { kb },
+                            spans[i].2,
                             &mut delta,
                             &mut pixels,
                             &mut fast_hits,
                             &mut skipped,
                         );
+                    } else if j == i + 2 && spans[i].2 != spans[i + 1].2 {
+                        // One removed and one added span (the move shape):
+                        // inside their intersection −1 and +1 cancel, so the
+                        // count — and hence the likelihood — cannot change
+                        // there. Only the symmetric difference needs work,
+                        // and each sliver is a single-disk segment.
+                        let (a0, a1, ka) = spans[i];
+                        let (b0, b1, kb) = spans[i + 1];
+                        let cut = a1.min(b1);
+                        if a0 < b0 {
+                            eval_single(
+                                a0,
+                                b0 - 1,
+                                ka,
+                                &mut delta,
+                                &mut pixels,
+                                &mut fast_hits,
+                                &mut skipped,
+                            );
+                        }
+                        if cut >= b0 {
+                            skipped += (cut - b0 + 1) as u64;
+                        }
+                        if cut < hi {
+                            eval_single(
+                                cut + 1,
+                                hi,
+                                if a1 > b1 { ka } else { kb },
+                                &mut delta,
+                                &mut pixels,
+                                &mut fast_hits,
+                                &mut skipped,
+                            );
+                        }
+                    } else {
+                        sweep_run(
+                            &spans[i..j],
+                            lo,
+                            hi,
+                            cov_row,
+                            gain_row,
+                            frame.x0,
+                            &mut delta,
+                            &mut pixels,
+                            &mut skipped,
+                        );
                     }
-                } else {
-                    sweep_run(
-                        &spans[i..j],
-                        lo,
-                        hi,
-                        cov_row,
-                        gain_row,
-                        frame.x0,
-                        &mut delta,
-                        &mut pixels,
-                        &mut skipped,
-                    );
+                    i = j;
                 }
-                i = j;
             }
         }
         crate::perf::add_pixels_visited(pixels);
@@ -590,8 +583,8 @@ impl Configuration {
         delta
     }
 
-    /// General evaluation (any disk count): per image row, collect every
-    /// affected disk's span (the exact arithmetic of
+    /// General evaluation (any disk count): per row some disk touches,
+    /// collect every affected disk's span (the exact arithmetic of
     /// [`crate::coverage::for_each_disk_row`]), merge them into contiguous
     /// union runs and sweep each run segment by segment — a segment being
     /// a maximal stretch where the same set of spans is active, so the net
@@ -608,32 +601,23 @@ impl Configuration {
         let mut delta = 0.0;
         let mut pixels = 0u64;
         let mut skipped = 0u64;
-        let mut y0 = i64::MAX;
-        let mut y1 = i64::MIN;
-        for c in removed.iter().chain(edit.add.iter()) {
-            y0 = y0.min(((c.y - c.r - 0.5).ceil() as i64).max(frame.y0));
-            y1 = y1.max(((c.y + c.r - 0.5).floor() as i64).min(frame.y1 - 1));
-        }
+        let mut rows: Vec<(i64, i64)> = removed
+            .iter()
+            .chain(edit.add.iter())
+            .map(|c| disk_rows(c, &frame))
+            .collect();
+        let nr = merge_row_ranges(&mut rows);
         let mut spans: Vec<(i64, i64, bool)> = Vec::with_capacity(removed.len() + edit.add.len());
-        for py in y0..=y1 {
+        for py in rows[..nr].iter().flat_map(|&(y0, y1)| y0..=y1) {
             spans.clear();
             let tagged = removed
                 .iter()
                 .map(|c| (c, false))
                 .chain(edit.add.iter().map(|c| (c, true)));
             for (c, is_add) in tagged {
-                let dy = py as f64 + 0.5 - c.y;
-                let h2 = c.r * c.r - dy * dy;
-                if h2 < 0.0 {
-                    continue;
+                if let Some((x0, x1)) = disk_row_span(c, py, &frame) {
+                    spans.push((x0, x1, is_add));
                 }
-                let h = h2.sqrt();
-                let x0 = ((c.x - h - 0.5).ceil() as i64).max(frame.x0);
-                let x1 = ((c.x + h - 0.5).floor() as i64).min(frame.x1 - 1);
-                if x0 > x1 {
-                    continue;
-                }
-                spans.push((x0, x1, is_add));
             }
             if spans.is_empty() {
                 continue;
@@ -839,6 +823,30 @@ impl Configuration {
         }
         Ok(())
     }
+}
+
+/// Sorts the disks' row ranges `(y0, y1)` and merges overlapping or
+/// adjacent ones in place, dropping empty ranges (`y0 > y1`); returns how
+/// many merged ranges lead the slice. Walking them in order visits every
+/// row some disk touches exactly once, in ascending order, and skips the
+/// empty rows between far-apart disks (a replace move's removed and added
+/// disks usually lie hundreds of rows apart).
+fn merge_row_ranges(rows: &mut [(i64, i64)]) -> usize {
+    rows.sort_unstable_by_key(|r| r.0);
+    let mut n = 0;
+    for i in 0..rows.len() {
+        let (y0, y1) = rows[i];
+        if y0 > y1 {
+            continue;
+        }
+        if n > 0 && y0 <= rows[n - 1].1.saturating_add(1) {
+            rows[n - 1].1 = rows[n - 1].1.max(y1);
+        } else {
+            rows[n] = (y0, y1);
+            n += 1;
+        }
+    }
+    n
 }
 
 /// Sweeps one merged run `[lo, hi]` of overlapping row spans. The run is

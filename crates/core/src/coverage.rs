@@ -20,6 +20,7 @@
 //! backends).
 
 use crate::likelihood::Gain;
+use crate::math::{ceil_i64, floor_i64};
 use pmcmc_imaging::{Circle, Rect};
 
 /// Cover counts over a rectangular region of the image.
@@ -53,28 +54,41 @@ impl PartialEq for CoverageGrid {
 
 impl Eq for CoverageGrid {}
 
+/// Rows `y0..=y1` of `circle`'s disk clipped to `rect` (empty when
+/// `y0 > y1`). With [`disk_row_span`] this is the single source of truth
+/// for what "the disk's pixels" means, shared by add, remove and the
+/// configuration's readonly delta walkers.
+#[inline]
+pub(crate) fn disk_rows(circle: &Circle, rect: &Rect) -> (i64, i64) {
+    let y0 = ceil_i64(circle.y - circle.r - 0.5).max(rect.y0);
+    let y1 = floor_i64(circle.y + circle.r - 0.5).min(rect.y1 - 1);
+    (y0, y1)
+}
+
+/// The inclusive pixel span `x0..=x1` of `circle`'s disk on row `py`,
+/// clipped to `rect`; `None` when the row misses the disk.
+#[inline]
+pub(crate) fn disk_row_span(circle: &Circle, py: i64, rect: &Rect) -> Option<(i64, i64)> {
+    let dy = py as f64 + 0.5 - circle.y;
+    let h2 = circle.r * circle.r - dy * dy;
+    if h2 < 0.0 {
+        return None;
+    }
+    let h = h2.sqrt();
+    let x0 = ceil_i64(circle.x - h - 0.5).max(rect.x0);
+    let x1 = floor_i64(circle.x + h - 0.5).min(rect.x1 - 1);
+    (x0 <= x1).then_some((x0, x1))
+}
+
 /// Visits every row span of `circle`'s disk clipped to `rect` as
-/// `(y, x0, x1)` with `x0..=x1` inclusive (exact span arithmetic; the
-/// single source of truth for what "the disk's pixels" means, shared by
-/// add, remove, and the configuration's readonly delta walkers). Empty
-/// rows are skipped.
+/// `(y, x0, x1)` with `x0..=x1` inclusive (the exact span arithmetic of
+/// `disk_rows` and `disk_row_span`). Empty rows are skipped.
 pub fn for_each_disk_row(circle: &Circle, rect: &Rect, mut f: impl FnMut(i64, i64, i64)) {
-    let y0 = ((circle.y - circle.r - 0.5).ceil() as i64).max(rect.y0);
-    let y1 = ((circle.y + circle.r - 0.5).floor() as i64).min(rect.y1 - 1);
-    let r2 = circle.r * circle.r;
+    let (y0, y1) = disk_rows(circle, rect);
     for py in y0..=y1 {
-        let dy = py as f64 + 0.5 - circle.y;
-        let h2 = r2 - dy * dy;
-        if h2 < 0.0 {
-            continue;
+        if let Some((x0, x1)) = disk_row_span(circle, py, rect) {
+            f(py, x0, x1);
         }
-        let h = h2.sqrt();
-        let x0 = ((circle.x - h - 0.5).ceil() as i64).max(rect.x0);
-        let x1 = ((circle.x + h - 0.5).floor() as i64).min(rect.x1 - 1);
-        if x0 > x1 {
-            continue;
-        }
-        f(py, x0, x1);
     }
 }
 

@@ -145,11 +145,37 @@ pub fn poisson_logpmf(k: usize, lambda: f64) -> f64 {
     k as f64 * lambda.ln() - lambda - ln_factorial(k)
 }
 
+/// `v.ceil() as i64` without the rounding call: the default x86-64 target
+/// has no `roundsd`, so `f64::ceil` is an out-of-line libm call, and the
+/// span arithmetic makes several per proposal. Truncate, then step up
+/// when the truncation fell below `v`. Equal to `v.ceil() as i64` for
+/// every `f64` (±0, NaN → 0, ±inf and |v| ≥ 2^63 saturate).
+#[inline]
+pub(crate) fn ceil_i64(v: f64) -> i64 {
+    let t = v as i64;
+    if (t as f64) < v {
+        t.saturating_add(1)
+    } else {
+        t
+    }
+}
+
+/// `v.floor() as i64` without the rounding call; see [`ceil_i64`].
+#[inline]
+pub(crate) fn floor_i64(v: f64) -> i64 {
+    let t = v as i64;
+    if (t as f64) > v {
+        t.saturating_sub(1)
+    } else {
+        t
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn erf_known_values() {
@@ -225,6 +251,62 @@ mod tests {
         }
         let mean = sum / n as f64;
         assert!((mean - 10.0).abs() < 0.05, "mean {mean}");
+    }
+
+    #[test]
+    fn integer_ceil_floor_match_libm_bit_for_bit() {
+        let two52 = 2f64.powi(52);
+        let two53 = 2f64.powi(53);
+        let two63 = 2f64.powi(63);
+        let mut values = vec![
+            0.0,
+            0.5,
+            1.0,
+            3.0,
+            1e6,
+            0.999_999_999_999_999_9,
+            two52 - 0.5,
+            two52 + 0.5,
+            two53,
+            two53 + 2.0,
+            two63,
+            two63 * 2.0,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NAN,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 4.0,
+            f64::from_bits(1),
+            f64::EPSILON,
+        ];
+        values.extend(values.clone().into_iter().map(|v| -v));
+        // Neighbours of the saturation edges and the integers.
+        for v in [two63, -two63, 1.0, -1.0, 0.0] {
+            values.push(f64::from_bits(v.to_bits() + 1));
+            values.push(f64::from_bits(v.to_bits().wrapping_sub(1)));
+        }
+        let mut rng = StdRng::seed_from_u64(13);
+        for _ in 0..200_000 {
+            let u: f64 = rng.gen();
+            // Span arithmetic magnitudes, half-integers and raw bit patterns.
+            values.push((u - 0.5) * 4096.0);
+            values.push(((u * 8192.0).round() - 4096.0) * 0.5);
+            values.push(f64::from_bits(rng.gen::<u64>()));
+        }
+        for v in values {
+            assert_eq!(
+                ceil_i64(v),
+                v.ceil() as i64,
+                "ceil of {v:e} ({:#x})",
+                v.to_bits()
+            );
+            assert_eq!(
+                floor_i64(v),
+                v.floor() as i64,
+                "floor of {v:e} ({:#x})",
+                v.to_bits()
+            );
+        }
     }
 
     #[test]

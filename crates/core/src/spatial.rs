@@ -32,10 +32,16 @@ impl SpatialGrid {
         }
     }
 
+    fn col_of(&self, x: f64) -> usize {
+        ((x / self.cell) as isize).clamp(0, self.cols as isize - 1) as usize
+    }
+
+    fn row_of(&self, y: f64) -> usize {
+        ((y / self.cell) as isize).clamp(0, self.rows as isize - 1) as usize
+    }
+
     fn cell_of(&self, x: f64, y: f64) -> usize {
-        let cx = ((x / self.cell) as isize).clamp(0, self.cols as isize - 1) as usize;
-        let cy = ((y / self.cell) as isize).clamp(0, self.rows as isize - 1) as usize;
-        cy * self.cols + cx
+        self.row_of(y) * self.cols + self.col_of(x)
     }
 
     /// Inserts circle `id` at its centre cell.
@@ -83,17 +89,21 @@ impl SpatialGrid {
         v[pos] = new_id as u32;
     }
 
-    /// Calls `f(id)` for every circle whose centre lies within `reach` of
-    /// `(x, y)` *cell-wise* (conservative: every circle within Euclidean
-    /// distance `reach` is visited; some farther ones may be too, callers
-    /// must filter precisely).
+    /// Calls `f(id)` for every circle in the cells that the box
+    /// `[x − reach, x + reach] × [y − reach, y + reach]` touches, in
+    /// row-major cell order: on each axis the cells
+    /// `clamp(trunc((x − reach)/cell)) ..= clamp(trunc((x + reach)/cell))`,
+    /// at most 3 × 3 for a reach up to one cell width. That is the cell
+    /// mapping of [`SpatialGrid::insert`] applied to the box's corners;
+    /// it is monotone in the coordinate, so every centre within Euclidean
+    /// distance `reach` of `(x, y)` is visited. A visited centre may lie
+    /// farther (up to a cell beyond the box), so callers filter precisely.
     pub fn for_neighbors(&self, x: f64, y: f64, reach: f64, mut f: impl FnMut(usize)) {
-        let span = (reach / self.cell).ceil() as isize + 1;
-        let cx = ((x / self.cell) as isize).clamp(0, self.cols as isize - 1);
-        let cy = ((y / self.cell) as isize).clamp(0, self.rows as isize - 1);
-        for gy in (cy - span).max(0)..=(cy + span).min(self.rows as isize - 1) {
-            for gx in (cx - span).max(0)..=(cx + span).min(self.cols as isize - 1) {
-                for &id in &self.cells[gy as usize * self.cols + gx as usize] {
+        let (gx0, gx1) = (self.col_of(x - reach), self.col_of(x + reach));
+        let (gy0, gy1) = (self.row_of(y - reach), self.row_of(y + reach));
+        for gy in gy0..=gy1 {
+            for gx in gx0..=gx1 {
+                for &id in &self.cells[gy * self.cols + gx] {
                     f(id as usize);
                 }
             }
@@ -116,6 +126,24 @@ impl SpatialGrid {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl SpatialGrid {
+        /// The previous neighbour walk, kept as the oracle of
+        /// [`SpatialGrid::for_neighbors`]: a fixed ±(`ceil(reach/cell)` + 1)
+        /// ring of cells around the centre's cell.
+        fn for_neighbors_ring(&self, x: f64, y: f64, reach: f64, mut f: impl FnMut(usize)) {
+            let span = (reach / self.cell).ceil() as isize + 1;
+            let cx = self.col_of(x) as isize;
+            let cy = self.row_of(y) as isize;
+            for gy in (cy - span).max(0)..=(cy + span).min(self.rows as isize - 1) {
+                for gx in (cx - span).max(0)..=(cx + span).min(self.cols as isize - 1) {
+                    for &id in &self.cells[gy as usize * self.cols + gx as usize] {
+                        f(id as usize);
+                    }
+                }
+            }
+        }
+    }
 
     fn collect_neighbors(g: &SpatialGrid, x: f64, y: f64, reach: f64) -> Vec<usize> {
         let mut v = Vec::new();
@@ -165,6 +193,66 @@ mod tests {
             let d = ((c.x - qx).powi(2) + (c.y - qy).powi(2)).sqrt();
             if d <= reach {
                 assert!(found.contains(&i), "missed neighbour {i} at distance {d}");
+            }
+        }
+    }
+
+    /// The window is the ring walk minus ids no caller can use, in the
+    /// ring walk's order. Circles are in support (`r ≤ r_max`) and the
+    /// queries use the callers' reaches: `r + r_max` for lens areas and a
+    /// merge distance for close pairs. Every id the window skips must give
+    /// a lens area of exactly `+0.0` or fail the distance test.
+    #[test]
+    fn window_drops_only_out_of_reach_ids_of_the_ring_walk() {
+        let mut seed = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            (seed >> 11) as f64 / (1u64 << 53) as f64
+        };
+        for trial in 0..40 {
+            let (w, h) = (64 + (next() * 400.0) as u32, 64 + (next() * 400.0) as u32);
+            let r_max = 6.0 + next() * 10.0;
+            let merge_dist = r_max * (0.5 + next());
+            let mut g = SpatialGrid::new(w, h, 2.0 * r_max);
+            let circles: Vec<Circle> = (0..200)
+                .map(|_| {
+                    let (x, y) = (next() * f64::from(w), next() * f64::from(h));
+                    Circle::new(x, y, r_max * (0.3 + 0.7 * next()))
+                })
+                .collect();
+            for (i, c) in circles.iter().enumerate() {
+                g.insert(i, c);
+            }
+            for q in 0..300 {
+                // Queries inside the image and a little past its edges.
+                let (x, y) = (next() * 1.2 - 0.1, next() * 1.2 - 0.1);
+                let c = Circle::new(
+                    x * f64::from(w),
+                    y * f64::from(h),
+                    r_max * (0.3 + 0.7 * next()),
+                );
+                let lens_unused = |id: usize| c.intersection_area(&circles[id]).to_bits() == 0;
+                let pair_unused = |id: usize| c.centre_distance(&circles[id]) >= merge_dist;
+                for (reach, unused) in [
+                    (c.r + r_max, &lens_unused as &dyn Fn(usize) -> bool),
+                    (merge_dist, &pair_unused),
+                ] {
+                    let (mut ring, mut window) = (Vec::new(), Vec::new());
+                    g.for_neighbors_ring(c.x, c.y, reach, |id| ring.push(id));
+                    g.for_neighbors(c.x, c.y, reach, |id| window.push(id));
+                    let mut rest = ring.iter();
+                    for id in &window {
+                        assert!(
+                            rest.any(|r| r == id),
+                            "trial {trial} query {q}: window is not an ordered subset"
+                        );
+                    }
+                    for &id in ring.iter().filter(|id| !window.contains(id)) {
+                        assert!(unused(id), "trial {trial} query {q}: dropped id {id}");
+                    }
+                }
             }
         }
     }

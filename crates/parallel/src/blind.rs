@@ -281,8 +281,9 @@ pub fn cluster_duplicates(
 ) -> MergeOutcome {
     let mut uf = UnionFind::new(candidates.len());
     // Bucket overlap-band candidates by eps; the grid clamps out-of-range
-    // centres, so any global coordinates are safe and `for_neighbors`
-    // stays a conservative superset of the true ≤ eps pairs.
+    // centres, so any global coordinates are safe. `for_neighbors` walks
+    // exactly the cells the ±eps box around a centre touches, which hold
+    // every true ≤ eps pair (and some farther ones the filter drops).
     let (mut max_x, mut max_y) = (1.0f64, 1.0f64);
     for c in candidates {
         max_x = max_x.max(c.circle.x);

@@ -220,6 +220,11 @@ impl PreparedJob {
             });
             report
         });
+        // Release the job's inputs before the handle resolves: a
+        // closed-loop caller submits its next job (cloning a new image)
+        // the moment this result lands.
+        drop(ctx);
+        drop((image, params));
         JobCompletion {
             done,
             batch,

@@ -190,6 +190,10 @@ impl NodeDaemon {
                                     .name(format!("pmcmc-daemon{node}-job{job_id}"))
                                     .spawn(move || {
                                         let result = run_assigned(&assign, &pool, node);
+                                        // The assignment holds the job's
+                                        // image; free it before the result
+                                        // lets the coordinator ship more.
+                                        drop(assign);
                                         let payload = JobResult {
                                             job: job_id,
                                             outcome: result,
